@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.mapreduce.api import (Context, combine, group_by_key, run_mapper,
-                                 run_reducer)
+from repro.mapreduce.api import (Context, Reducer, combine, group_by_key,
+                                 run_mapper, run_reducer)
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import Job
 
@@ -48,6 +48,7 @@ class LocalJobRunner:
             reduce_ctx = Context(task_id=f"{job.name}-local-reduce-{p}",
                                  counters=self.counters, config=job.params)
             grouped = group_by_key(partitions[p])
-            output.extend(run_reducer(job.reducer(), grouped, reduce_ctx))
+            output.extend(run_reducer((job.reducer or Reducer)(), grouped,
+                                      reduce_ctx))
         self.counters.incr("job", "reduce_output_records", len(output))
         return output

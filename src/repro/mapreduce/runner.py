@@ -18,6 +18,11 @@ Execution model (hadoop-0.20, as the paper ran it):
   VM (at most ``shuffle_parallel_copies`` concurrent fetches), charge the
   sort/merge cost, run the *real* reducer, and write replicated output to
   HDFS.
+* A runner-wide **task memo** computes each repeated map split and reduce
+  partition once: an attempt whose job fingerprint and input match an
+  earlier, still-referenced result reuses that result's outputs and
+  counters instead of re-running the user code.  Every simulated cost is
+  charged per attempt exactly as without the memo (DESIGN.md §2).
 
 The report records per-task attempts and per-phase spans; the functional
 output is bit-identical to :class:`~repro.mapreduce.local.LocalJobRunner`
@@ -27,14 +32,17 @@ output is bit-identical to :class:`~repro.mapreduce.local.LocalJobRunner`
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Optional, TYPE_CHECKING
+import types
+import weakref
+from dataclasses import dataclass, field, replace
+from typing import Any, Optional, Sequence, TYPE_CHECKING
 
 from repro import constants as C
 from repro.errors import JobConfigError, TaskFailure, VMStateError
 from repro.hdfs.datanode import DataNode
-from repro.mapreduce.api import (Context, Reducer, combine, group_by_key,
-                                 run_mapper, run_reducer)
+from repro.mapreduce.api import (Context, HashPartitioner, RangePartitioner,
+                                 Reducer, combine, group_by_key, run_mapper,
+                                 run_reducer)
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import Job
 from repro.sim import Resource
@@ -97,18 +105,92 @@ def _drive_racing(sim, gen, stop: Event, abortable=None):
             return stop_iter.value, False
 
 
+class _Unkeyed(Exception):
+    """A job part the task memo cannot fingerprint exactly."""
+
+
+_SCALARS = (type(None), bool, int, float, str, bytes)
+
+
+def _frozen(value) -> tuple:
+    """Exact hashable stand-in for a primitive or a tuple of primitives
+    (``repr`` keeps ``1``/``True``/``1.0`` and ``0.0``/``-0.0`` apart)."""
+    if type(value) in _SCALARS:
+        return type(value), repr(value)
+    if type(value) is tuple:
+        return tuple(map(_frozen, value))
+    raise _Unkeyed
+
+
+def _code_key(fn):
+    """A factory/sizeof counts as a class, or as a plain function whose
+    closure cells and defaults are all primitives (so ``wordcount_job``'s
+    per-call sizeof lambda matches across jobs; KMeans' centers closure
+    does not)."""
+    if fn is None or isinstance(fn, type):
+        return fn
+    if type(fn) is not types.FunctionType:
+        raise _Unkeyed
+    try:
+        cells = tuple(cell.cell_contents for cell in fn.__closure__ or ())
+    except ValueError:  # an empty cell
+        raise _Unkeyed from None
+    return (fn.__module__, fn.__code__, _frozen(cells),
+            _frozen(fn.__defaults__ or ()),
+            _frozen(tuple((fn.__kwdefaults__ or {}).items())))
+
+
+def _partitioner_key(partitioner):
+    if type(partitioner) is HashPartitioner:
+        return "hash"
+    if type(partitioner) is RangePartitioner:
+        return "range", _frozen(tuple(partitioner.boundaries))
+    raise _Unkeyed
+
+
+def job_fingerprint(job: Job, use_combiner: bool) -> Optional[tuple]:
+    """Everything a map or reduce task's functional output depends on
+    besides its input, or None when some part cannot be keyed exactly."""
+    try:
+        return (_code_key(job.mapper), _code_key(job.combiner),
+                _code_key(job.reducer), _partitioner_key(job.partitioner),
+                job.n_reduces, _code_key(job.intermediate_sizeof),
+                _frozen(tuple(job.params.items())), bool(use_combiner))
+    except _Unkeyed:
+        return None
+
+
 @dataclass
 class _MapSpec:
     """One map task: real records plus the datanodes holding them."""
 
     index: int
-    records: tuple
+    records: Sequence[tuple[Any, Any]]
     nbytes: float
     holders: tuple[DataNode, ...]
+    #: Identity of the records: the write-once HDFS block id(s) they come
+    #: from, plus the record range of a ``force_num_maps`` repack.
+    split: tuple
 
     @property
     def task_id(self) -> str:
         return f"m-{self.index:05d}"
+
+
+@dataclass(eq=False)
+class _MapResult:
+    """The functional result of one map task, shared (read-only) by every
+    attempt that reuses it through the runner's task memo."""
+
+    key: Optional[tuple]                 # None: the job is not keyable
+    partitions: dict[int, tuple]         # partition -> ((k, v), ...)
+    partition_bytes: dict[int, float]
+    counters: Counters
+    n_mapped: int
+    #: Memoized reduces whose first contributing map is this one:
+    #: (partition, map keys) -> (output pairs, counters).
+    reduces: dict[tuple, tuple[tuple, Counters]] = field(
+        default_factory=dict)
 
 
 @dataclass
@@ -117,11 +199,18 @@ class _MapOutput:
 
     spec: _MapSpec
     tracker: "TaskTracker"
-    partitions: dict[int, list]          # partition -> [(k, v)]
-    partition_bytes: dict[int, float]
+    result: _MapResult
     #: Back-references used by shuffle-time map recovery.
     job: "Job" = None
     report: "JobReport" = None
+
+    @property
+    def partitions(self) -> dict[int, tuple]:
+        return self.result.partitions
+
+    @property
+    def partition_bytes(self) -> dict[int, float]:
+        return self.result.partition_bytes
 
 
 @dataclass(frozen=True)
@@ -215,6 +304,10 @@ class MapReduceRunner:
         self._tracker_failures: dict[tuple[str, str], int] = {}
         #: Per-job blacklist: trackers that failed too many of its tasks.
         self._blacklist: set[tuple[str, str]] = set()
+        #: Task memo: (job fingerprint, map index, split) -> result.  Weak,
+        #: so a result lives exactly as long as a _MapOutput using it.
+        self._map_memo: weakref.WeakValueDictionary = (
+            weakref.WeakValueDictionary())
 
     # -- public ------------------------------------------------------------
     def submit(self, job: Job) -> Event:
@@ -407,8 +500,7 @@ class MapReduceRunner:
                 dn for dn in item.holders
                 if dn in self.cluster.namenode.datanodes
                 and self._vm_live(dn.vm))
-            state["pending"].insert(0, _MapSpec(item.index, item.records,
-                                                item.nbytes, live_holders))
+            state["pending"].insert(0, replace(item, holders=live_holders))
         else:
             state["pending"].insert(0, item)
         if on_requeue is not None:
@@ -462,7 +554,8 @@ class MapReduceRunner:
             for i, block in enumerate(blocks):
                 holders = tuple(namenode.replicas.get(block.block_id, ()))
                 payload = namenode.block_store.get(block)
-                specs.append(_MapSpec(i, payload, float(block.size), holders))
+                specs.append(_MapSpec(i, payload, float(block.size), holders,
+                                      (block.block_id,)))
             return specs
 
         # MRBench-style forced map count: repack all records into n groups;
@@ -477,6 +570,7 @@ class MapReduceRunner:
         total_bytes = float(sum(b.size for b in blocks))
         if not all_records:
             raise JobConfigError(f"job {job.name!r}: empty input")
+        block_ids = tuple(block.block_id for block in blocks)
         specs = []
         chunk = -(-len(all_records) // n)
         for i in range(n):
@@ -489,7 +583,8 @@ class MapReduceRunner:
             holders = tuple(self.cluster.namenode.replicas.get(
                 home_block.block_id, ()))
             nbytes = total_bytes * (len(group) / len(all_records))
-            specs.append(_MapSpec(i, group, nbytes, holders))
+            specs.append(_MapSpec(i, group, nbytes, holders,
+                                  (block_ids, lo, hi)))
         return specs
 
     # -- map phase --------------------------------------------------------------
@@ -756,7 +851,36 @@ class MapReduceRunner:
                 + job.map_cpu_per_record * len(spec.records))
         if work > 0:
             yield vm.compute(work, name=f"map:{spec.task_id}")
-        # 3. real map + combine (functional; cost already charged).
+        # 3. real map + combine + partition (functional; cost already
+        # charged), or the memoized result of an identical earlier attempt.
+        fingerprint = job_fingerprint(job, self.cluster.config.use_combiner)
+        key = (None if fingerprint is None
+               else (fingerprint, spec.index, spec.split))
+        result = self._map_memo.get(key)
+        if result is None:
+            result = self._compute_map(job, spec, key)
+            if key is not None:
+                self._map_memo[key] = result
+        # 4. spill.
+        spill = sum(result.partition_bytes.values())
+        if spill > 0 and not job.map_only:
+            yield vm.disk_io(spill, name=f"spill:{spec.task_id}")
+        # Counters land only when the attempt completes: a preempted or
+        # superseded attempt must contribute nothing to the job totals.
+        # ``count=False`` is the shuffle-recovery re-run, whose original
+        # attempt already counted — it must not double-count either.
+        if count:
+            report.counters.merge(result.counters)
+            report.counters.incr("job", "map_input_records",
+                                 len(spec.records))
+            report.counters.incr("job", "map_output_records",
+                                 result.n_mapped)
+        return _MapOutput(spec, tracker, result, job=job, report=report)
+
+    def _compute_map(self, job: Job, spec: _MapSpec,
+                     key: Optional[tuple]) -> _MapResult:
+        """Run the user's mapper (and combiner) over the split and
+        partition the pairs; charges no simulated time."""
         ctx = Context(task_id=spec.task_id, config=job.params)
         try:
             pairs = run_mapper(job.mapper(), spec.records, ctx)
@@ -765,31 +889,17 @@ class MapReduceRunner:
         n_mapped = len(pairs)
         if self.cluster.config.use_combiner:
             pairs = combine(job.combiner, pairs, ctx)
-        # 4. partition + spill.
         n_parts = max(1, job.n_reduces)
         part = job.partitioner.partition
         buckets: list[list] = [[] for _ in range(n_parts)]
         for kv in pairs:
             buckets[part(kv[0], n_parts)].append(kv)
-        partitions: dict[int, list] = dict(enumerate(buckets))
         sizeof = job.intermediate_sizeof
-        partition_bytes = {
-            p: float(sum(map(sizeof, rows)))
-            for p, rows in partitions.items()}
-        spill = sum(partition_bytes.values())
-        if spill > 0 and not job.map_only:
-            yield vm.disk_io(spill, name=f"spill:{spec.task_id}")
-        # Counters land only when the attempt completes: a preempted or
-        # superseded attempt must contribute nothing to the job totals.
-        # ``count=False`` is the shuffle-recovery re-run, whose original
-        # attempt already counted — it must not double-count either.
-        if count:
-            report.counters.merge(ctx.counters)
-            report.counters.incr("job", "map_input_records",
-                                 len(spec.records))
-            report.counters.incr("job", "map_output_records", n_mapped)
-        return _MapOutput(spec, tracker, partitions, partition_bytes,
-                          job=job, report=report)
+        partitions = {p: tuple(rows) for p, rows in enumerate(buckets)}
+        partition_bytes = {p: float(sum(map(sizeof, rows)))
+                           for p, rows in partitions.items()}
+        return _MapResult(key, partitions, partition_bytes, ctx.counters,
+                          n_mapped)
 
     # -- reduce phase --------------------------------------------------------
     def _reduce_phase(self, job: Job, map_outputs: list[_MapOutput],
@@ -951,9 +1061,6 @@ class MapReduceRunner:
             if output.partition_bytes.get(partition, 0.0) > 0]
         if fetches:
             yield self.sim.all_of(fetches)
-        rows: list = []
-        for output in map_outputs:
-            rows.extend(output.partitions.get(partition, ()))
         nbytes_in = sum(output.partition_bytes.get(partition, 0.0)
                         for output in map_outputs)
         report.shuffle_bytes += nbytes_in
@@ -962,19 +1069,22 @@ class MapReduceRunner:
             "shuffle bytes fetched per reduce partition",
             {"job": job.name}).observe(nbytes_in)
         # 2. merge-sort + reduce CPU.
-        n = len(rows)
+        n = sum(len(output.partitions.get(partition, ()))
+                for output in map_outputs)
         work = (job.reduce_cpu_per_byte * nbytes_in
                 + job.reduce_cpu_per_record * n
                 + C.SORT_CPU_PER_RECORD * n * math.log2(n + 2))
         if work > 0:
             yield vm.compute(work, name=f"reduce:r{partition}")
-        # 3. real reduce.
-        ctx = Context(task_id=f"r-{partition:05d}", config=job.params)
-        try:
-            reducer = (job.reducer or Reducer)()
-            out_pairs = run_reducer(reducer, group_by_key(rows), ctx)
-        except Exception as exc:
-            raise TaskFailure(f"r-{partition:05d}", exc) from exc
+        # 3. real reduce, or the memoized result of the same partition of
+        # the same map results (kept only when every map result is keyed).
+        keys = tuple(output.result.key for output in map_outputs)
+        memo = (map_outputs[0].result.reduces
+                if keys and None not in keys else {})
+        key = (partition, keys)
+        if key not in memo:
+            memo[key] = self._compute_reduce(job, partition, map_outputs)
+        out_pairs, counters = memo[key]
         # Commit protocol: only one attempt per partition may write the
         # output file (and merge its counters); a racing speculative
         # attempt that arrives second discards its work.
@@ -982,7 +1092,7 @@ class MapReduceRunner:
                 or partition in state["committing"]):
             return None
         state["committing"][partition] = token
-        report.counters.merge(ctx.counters)
+        report.counters.merge(counters)
         report.counters.incr("job", "reduce_input_records", n)
         report.counters.incr("job", "reduce_output_records", len(out_pairs))
         # 4. replicated output write.
@@ -993,6 +1103,22 @@ class MapReduceRunner:
         report.output_paths.append(path)
         report.output_bytes += f.size
         return nbytes_in, float(f.size)
+
+    @staticmethod
+    def _compute_reduce(job: Job, partition: int,
+                        map_outputs: list[_MapOutput]) -> tuple:
+        """Group the partition's rows and run the user's reducer; returns
+        ``(output pairs, counters)`` and charges no simulated time."""
+        rows: list = []
+        for output in map_outputs:
+            rows.extend(output.partitions.get(partition, ()))
+        ctx = Context(task_id=f"r-{partition:05d}", config=job.params)
+        try:
+            reducer = (job.reducer or Reducer)()
+            out_pairs = tuple(run_reducer(reducer, group_by_key(rows), ctx))
+        except Exception as exc:
+            raise TaskFailure(f"r-{partition:05d}", exc) from exc
+        return out_pairs, ctx.counters
 
     def _fetch(self, output: _MapOutput, partition: int, to_vm, sem: Resource,
                parent_span: Optional[Span] = None, job_name: str = ""):
@@ -1060,7 +1186,9 @@ class MapReduceRunner:
         """Re-execute a lost map task on ``to_vm`` (Hadoop's map re-run).
 
         The functional output is recomputed deterministically from the
-        (replicated) input split; the re-executed task's costs — startup,
+        (replicated) input split, or served by the task memo while the
+        lost output's result is still referenced (it is: ``output`` holds
+        it); the re-executed task's costs — startup,
         split read and map CPU — are charged to the recovering VM.  Its
         counters are *not* merged again (``count=False``): the original
         attempt already counted.
@@ -1083,22 +1211,20 @@ class MapReduceRunner:
             dn for dn in spec.holders
             if dn in self.cluster.namenode.datanodes
             and self._vm_live(dn.vm))
-        fresh_spec = _MapSpec(spec.index, spec.records, spec.nbytes,
-                              live_holders)
+        fresh_spec = replace(spec, holders=live_holders)
         locality = self._locality_of(tracker, fresh_spec)
         job = output.job
         recovered = yield from self._run_map_task(job, tracker, fresh_spec,
                                                   locality, output.report,
                                                   count=False)
         output.tracker = tracker
-        output.partitions = recovered.partitions
-        output.partition_bytes = recovered.partition_bytes
+        output.result = recovered.result
 
     # -- map-only output --------------------------------------------------------
     def _write_map_only_output(self, job: Job, map_outputs: list[_MapOutput],
                                report: JobReport):
         for output in map_outputs:
-            rows = output.partitions.get(0, [])
+            rows = output.partitions.get(0, ())
             path = f"{job.output_path}/part-m-{output.spec.index:05d}"
             f = yield self.cluster.dfs.write_file(
                 output.tracker.vm, path, rows, sizeof=job.output_sizeof,

@@ -396,8 +396,9 @@ class FairShareSystem:
         if flow not in self._flows:
             raise ResourceError(f"flow {flow.name!r} is not active")
         completed = self._advance()
-        self._detach(flow)
-        flow.done.succeed(flow)
+        if flow in self._flows:  # else the advance just completed it
+            self._detach(flow)
+            flow.done.succeed(flow)
         seeds = list(flow.path)
         for f in completed:
             seeds.extend(f.path)
@@ -511,6 +512,9 @@ class FairShareSystem:
                 entries = self._advance_vec(dt, finished)
             else:
                 entries = self._advance_scalar(dt, finished)
+            # ``self._flows`` iterates in id() order; release simultaneous
+            # completions in creation order so no run depends on addresses.
+            finished.sort(key=lambda f: f._seq)
             for flow in finished:
                 self._detach(flow)
                 self.completed_count += 1
@@ -924,7 +928,9 @@ class FairShareSystem:
                 else:
                     flow._horizon = math.inf
             for res in resources:
-                res._set_load(sum(f.rate for f in res._flows), now)
+                # fsum is exact, so the load cannot depend on the id()
+                # order ``res._flows`` happens to iterate in.
+                res._set_load(math.fsum(f.rate for f in res._flows), now)
             if self._metrics is not None:
                 self._m_component.observe(float(n_flows))
                 self._m_visits.inc(visits)

@@ -185,6 +185,19 @@ def test_use_combiner_config_gate():
     assert report.counters.get("job", "map_output_records") == total_words
 
 
+def test_default_reducer_agrees_with_local_runner():
+    # n_reduces > 0 with no reducer: both runners apply Hadoop's identity
+    # Reducer, so the output is the sorted, partitioned map output.
+    platform, cluster = make_cluster()
+    upload_corpus(platform, cluster)
+    job = Job(name="identity-reduce", input_paths=["/wc/in"],
+              output_path="/o", mapper=WordCountMapper, n_reduces=3)
+    report = platform.run_job(cluster, job)
+    local = LocalJobRunner().run(job, RECORDS)
+    assert platform.collect(cluster, report) == local
+    assert len(local) == sum(len(line.split()) for line in LINES)
+
+
 def test_job_validation():
     with pytest.raises(JobConfigError):
         Job(name="", input_paths=["/a"], output_path="/b", mapper=Mapper)

@@ -174,6 +174,20 @@ def test_close_inactive_flow_rejected(sim, fss):
         fss.close(flow)
 
 
+def test_close_of_a_flow_the_catch_up_completes(sim, fss):
+    """Closing a flow whose residue falls under the clock's resolution
+    as progress catches up completes it once, not twice."""
+    link = SharedResource("link", 100.0)
+    flow = fss.open([link], size=10.0)
+    sim.run(until=0.1 - 1e-12)
+    assert flow.active
+    assert fss.close(flow) == 10.0
+    assert flow.done.value is flow
+    assert fss.completed_count == 1
+    sim.run()
+    assert not fss.active_flows
+
+
 def test_utilization_and_busy_time(sim, fss):
     link = SharedResource("link", 100.0)
     fss.open([link], size=500.0, cap=50.0)

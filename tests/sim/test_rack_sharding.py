@@ -21,7 +21,7 @@ generated graphs actually reach the shear-split code path.
 import math
 
 import hypothesis.strategies as st
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from repro.sim import FairShareSystem, SharedResource, Simulator
 from repro.sim import fairshare as fairshare_mod
@@ -240,6 +240,10 @@ def test_rack_sharding_off_never_rack_splits():
        cap_picks=st.lists(st.integers(0, 3), min_size=6, max_size=6),
        ops=_ops)
 @settings(max_examples=50, **_SLOW)
+# Per-resource loads once summed in set (address) order: this example's
+# busy integral differed in the last bit between modes.
+@example(n_res=2, cap_picks=[1, 0, 0, 0, 0, 0],
+         ops=[("open", 0, 1), ("open", 0, 0), ("open", 0, 1), ("open", 0, 1)])
 def test_racked_run_is_bit_identical_across_sharding_modes(n_res, cap_picks,
                                                            ops):
     """rack_sharding on / off / global_rebalance: same timestamps,
